@@ -38,7 +38,7 @@ from gridcast.search import (
     reproduce_table1,
     table1_matches,
 )
-from gridcast.signal import emission_total, excess, sig_from_tower, total_signal
+from gridcast.signal import emission_total, excess, sig_from_tower, signal_field, total_signal
 from gridcast.verifier import (
     UpgradeCheck,
     VerificationReport,
@@ -86,6 +86,7 @@ __all__ = [
     "emission_total",
     "excess",
     "sig_from_tower",
+    "signal_field",
     "total_signal",
     "UpgradeCheck",
     "VerificationReport",

@@ -14,7 +14,7 @@ import sys
 
 from gridcast.core import BroadcastSpec
 from gridcast.finite import FiniteGrid, domination_number
-from gridcast.halfsquares import find_holes, hole_overlap_densities
+from gridcast.halfsquares import _densities_in, _holes_in, depth_map
 from gridcast.parsing import PatternSyntaxError, parse_pattern, serialize_pattern
 from gridcast.render import DEFAULT_SHOW, RenderSpec, render
 from gridcast.search import (
@@ -33,13 +33,6 @@ EXIT_USAGE = 2
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gridcast", description=__doc__)
     parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        metavar="N",
-        help="worker threads, 0 = auto (currently single-threaded; accepted for compatibility)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check whether a pattern is a (t,r) broadcast")
@@ -157,8 +150,9 @@ def _cmd_holes(args) -> int:
     spec = BroadcastSpec(args.t, args.r)
     pattern = parse_pattern(args.pattern)
     depth = args.depth if args.depth is not None else args.r
-    report = find_holes(pattern, spec, depth)
-    hole_d, overlap_d = hole_overlap_densities(pattern, spec)
+    dm = depth_map(pattern, spec)
+    report = _holes_in(dm, depth)
+    hole_d, overlap_d = _densities_in(dm)
     if args.json:
         payload = report.to_dict()
         payload["hole_density"] = {"num": hole_d.numerator, "den": hole_d.denominator}

@@ -39,6 +39,8 @@ class PeriodicPattern:
     The vertex set is { a*basis_u + b*basis_v + o : a, b in Z, o in offsets }.
     The basis may be any pair of integer vectors with nonzero determinant;
     use canonicalize() to obtain the unique triangular representative.
+    Offsets must be pairwise inequivalent modulo the lattice, so that
+    density() counts each tower class once.
     """
 
     basis_u: Vertex
@@ -50,6 +52,8 @@ class PeriodicPattern:
             raise ValueError("lattice basis has zero determinant")
         if not self.offsets:
             raise ValueError("pattern needs at least one offset")
+        if len(self.offsets) > 1 and len(_triangular_form(self)[3]) != len(self.offsets):
+            raise ValueError("offsets are not pairwise inequivalent modulo the lattice")
 
     @property
     def det(self) -> int:
@@ -102,28 +106,32 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def _triangular_form(p: PeriodicPattern) -> tuple[int, int, int, set[Vertex]]:
+    """(a, b, c, reduced offsets) for the lattice basis {(a,0),(b,c)}, a,c > 0, 0 <= b < a.
+
+    Each offset is reduced into the box [0, a) x [0, c), so two offsets are
+    equivalent modulo the lattice iff they reduce to the same point.
+    """
+    ux, uy = p.basis_u
+    vx, vy = p.basis_v
+    c, s, t = _ext_gcd(uy, vy)
+    a = abs(p.det) // c
+    b = (s * ux + t * vx) % a
+    reduced = set()
+    for x, y in p.offsets:
+        j = y % c
+        k = (y - j) // c
+        reduced.add(((x - k * b) % a, j))
+    return a, b, c, reduced
+
+
 def canonicalize(p: PeriodicPattern) -> PeriodicPattern:
     """Unique representative: basis {(a,0),(b,c)} with a,c > 0, 0 <= b < a.
 
     Offsets are reduced into the fundamental domain and sorted by (y, x).
     Two patterns describing the same vertex set canonicalize identically.
     """
-    ux, uy = p.basis_u
-    vx, vy = p.basis_v
-    d = p.det
-    g, s, t = _ext_gcd(uy, vy)
-    c = g
-    b_raw = s * ux + t * vx
-    a = abs(d) // g
-    b = b_raw % a
-    reduced = set()
-    for x, y in p.offsets:
-        j = y % c
-        k = (y - j) // c
-        i = (x - k * b) % a
-        reduced.add((i, j))
-    if len(reduced) != len(p.offsets):
-        raise ValueError("offsets are not pairwise inequivalent modulo the lattice")
+    a, b, c, reduced = _triangular_form(p)
     offsets = tuple(sorted(reduced, key=lambda o: (o[1], o[0])))
     return PeriodicPattern((a, 0), (b, c), offsets)
 

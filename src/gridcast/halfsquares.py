@@ -23,10 +23,9 @@ from gridcast.core import (
     PeriodicPattern,
     Vertex,
     canonicalize,
-    contains,
-    fundamental_domain,
     reduce_vertex,
 )
+from gridcast.signal import KernelRow, scatter
 
 RotCoord = tuple[int, int]
 
@@ -82,39 +81,48 @@ class DepthMap:
     cover_count: dict[RotCoord, int]
 
 
-def _edge_depth(p: PeriodicPattern, u: Vertex, v: Vertex, spec: BroadcastSpec) -> tuple[int, int]:
-    """(depth, number of covering towers) for the half-square of edge (u, v).
+def _edge_kernels(spec: BroadcastSpec, step: Vertex) -> tuple[list[KernelRow], list[KernelRow]]:
+    """Depth and cover kernels over the base u of the edge (u, u + step).
 
-    Only towers within distance t-1 of both endpoints contribute.
+    A kernel cell is u minus the tower. The tower covers the edge when both
+    endpoints are within t-1 of it, with depth min(K(u), K(u + step), r)
+    for the tower's uncapped signal K.
     """
     t, r = spec.t, spec.r
-    depth = 0
-    count = 0
-    ux, uy = u
-    for dy in range(-(t - 1), t):
-        rem = t - 1 - abs(dy)
-        for dx in range(-rem, rem + 1):
-            w = (ux + dx, uy + dy)
-            dv = abs(w[0] - v[0]) + abs(w[1] - v[1])
-            if dv > t - 1:
-                continue
-            if contains(p, w):
-                depth += min(min(t - abs(dx) - abs(dy), t - dv), r)
-                count += 1
-    return depth, count
+    sx, sy = step
+    depth_rows: list[KernelRow] = []
+    cover_rows: list[KernelRow] = []
+    for dy in range(1 - t, t):
+        # dist: from the tower to the farther endpoint of the edge
+        cells = [(dx, max(abs(dx) + abs(dy), abs(dx + sx) + abs(dy + sy))) for dx in range(1 - t, t)]
+        near = [(dx, dist) for dx, dist in cells if dist < t]
+        if near:
+            depth_rows.append((dy, near[0][0], [min(t - dist, r) for _, dist in near]))
+            cover_rows.append((dy, near[0][0], [1] * len(near)))
+    return depth_rows, cover_rows
 
 
 def depth_map(p: PeriodicPattern, spec: BroadcastSpec) -> DepthMap:
-    """Depths of the 2*|det| half-squares of one fundamental domain."""
+    """Depths of the 2*|det| half-squares of one fundamental domain.
+
+    One residue scatter per orientation and quantity: each tower adds the
+    edge kernel to the edges based at the residues around it.
+    """
     canon = canonicalize(p)
+    a = canon.basis_u[0]
+    c = canon.basis_v[1]
+    fields = []
+    for orient, step in ((HORIZONTAL, (1, 0)), (VERTICAL, (0, 1))):
+        depth_kernel, cover_kernel = _edge_kernels(spec, step)
+        fields.append((orient, scatter(canon, depth_kernel), scatter(canon, cover_kernel)))
     depth: dict[RotCoord, int] = {}
     cover: dict[RotCoord, int] = {}
-    for x, y in fundamental_domain(canon):
-        for orient, other in ((HORIZONTAL, (x + 1, y)), (VERTICAL, (x, y + 1))):
-            d, c = _edge_depth(canon, (x, y), other, spec)
-            key = rot_of_edge(orient, x, y)
-            depth[key] = d
-            cover[key] = c
+    for x in range(a):
+        for y in range(c):
+            for orient, depth_field, cover_field in fields:
+                key = rot_of_edge(orient, x, y)
+                depth[key] = depth_field[y * a + x]
+                cover[key] = cover_field[y * a + x]
     return DepthMap(pattern=canon, spec=spec, depth=depth, cover_count=cover)
 
 
@@ -188,9 +196,14 @@ def find_holes(p: PeriodicPattern, spec: BroadcastSpec, hole_depth: int) -> Hole
     canonical half-square through two different lifts means the component
     connects to its own translate, i.e. it is infinite.
     """
+    return _holes_in(depth_map(p, spec), hole_depth)
+
+
+def _holes_in(dm: DepthMap, hole_depth: int) -> HoleReport:
+    """find_holes on an already built depth map."""
+    spec = dm.spec
     if not 1 <= hole_depth <= spec.r:
         raise ValueError(f"hole_depth must be in [1, r={spec.r}], got {hole_depth}")
-    dm = depth_map(p, spec)
     canon = dm.pattern
     target = spec.r - hole_depth
     cells = {key for key, d in dm.depth.items() if d == target}
@@ -264,7 +277,11 @@ def hole_overlap_densities(p: PeriodicPattern, spec: BroadcastSpec) -> tuple[Fra
     A hole half-square has depth 0; an overlap half-square is covered by at
     least two distinct towers.
     """
-    dm = depth_map(p, spec)
+    return _densities_in(depth_map(p, spec))
+
+
+def _densities_in(dm: DepthMap) -> tuple[Fraction, Fraction]:
+    """hole_overlap_densities on an already built depth map."""
     total = len(dm.depth)
     holes = sum(1 for d in dm.depth.values() if d == 0)
     overlaps = sum(1 for c in dm.cover_count.values() if c >= 2)

@@ -37,20 +37,17 @@ def d_upper_bound(spec: BroadcastSpec) -> int:
     return emission_total(spec) // spec.r
 
 
-def valid_e_for(d: int, spec: BroadcastSpec, mirror: bool = False) -> tuple[int, ...]:
+def valid_e_for(d: int, spec: BroadcastSpec) -> tuple[int, ...]:
     """All e in [0, d) such that standard(d, e) is a (t,r) broadcast.
 
-    With mirror=True only e <= d/2 are tested; the rest follow from the
-    mirror symmetry standard(d, e) <-> standard(d, d - e).
+    Only e <= d/2 are tested. The reflection x -> -x maps standard(d, e) onto
+    standard(d, d - e), so the rest are their mirror images.
     """
-    top = d // 2 + 1 if mirror else d
-    found = {e for e in range(top) if is_broadcast(standard(d, e), spec)}
-    if mirror:
-        found |= {(d - e) % d for e in set(found)}
-    return tuple(sorted(found))
+    found = {e for e in range(d // 2 + 1) if is_broadcast(standard(d, e), spec)}
+    return tuple(sorted(found | {(d - e) % d for e in found}))
 
 
-def best_standard(spec: BroadcastSpec, d_max: int | None = None, mirror: bool = False) -> BestStandardResult:
+def best_standard(spec: BroadcastSpec, d_max: int | None = None) -> BestStandardResult:
     """Scan d downward from the emission bound; return the first d that works.
 
     If no d in [1, bound] admits a valid e (possible when the emission bound
@@ -60,7 +57,7 @@ def best_standard(spec: BroadcastSpec, d_max: int | None = None, mirror: bool = 
     if d_max is not None:
         bound = min(bound, d_max)
     for d in range(bound, 0, -1):
-        valid_e = valid_e_for(d, spec, mirror=mirror)
+        valid_e = valid_e_for(d, spec)
         if valid_e:
             return BestStandardResult(spec=spec, d=d, valid_e=valid_e, d_bound=bound)
     return BestStandardResult(spec=spec, d=0, valid_e=(), d_bound=bound)
@@ -114,7 +111,7 @@ class Table1Row:
         return tuple(min(c.valid_e) for c in self.cells)
 
 
-def reproduce_table1(mirror: bool = False) -> list[Table1Row]:
+def reproduce_table1() -> list[Table1Row]:
     """Recompute every cell of the published table by exhaustive search.
 
     Column 1 is also pinned by the closed form d = 2t^2 - 2t + 1, which the
@@ -122,7 +119,7 @@ def reproduce_table1(mirror: bool = False) -> list[Table1Row]:
     """
     rows = []
     for t in TABLE1_ROWS:
-        cells = tuple(best_standard(spec, mirror=mirror) for spec in table1_specs(t))
+        cells = tuple(best_standard(spec) for spec in table1_specs(t))
         closed_form = 2 * t * t - 2 * t + 1
         if cells[0].d != closed_form:
             raise AssertionError(

@@ -1,10 +1,21 @@
-"""Signal, excess, and per-tower emission under the capped signal model."""
+"""Signal, excess, and per-tower emission under the capped signal model.
+
+`signal_field` computes the signal at every vertex of a fundamental domain
+at once by scattering each tower's kernel over the lattice residues.
+`total_signal` gathers over the L1 ball around one vertex instead; it and
+its wrappers `uncapped_signal` and `signal_at_least` are the tests' oracle.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from operator import add
 
 from gridcast.core import BroadcastSpec, PeriodicPattern, Vertex, contains, l1_distance
+
+# One row of a kernel: (dy, dx, weights) puts weights[k] at offset (dx + k, dy)
+# from a tower.
+KernelRow = tuple[int, int, list[int]]
 
 
 def sig_from_tower(v: Vertex, tower: Vertex, spec: BroadcastSpec) -> int:
@@ -35,32 +46,58 @@ def total_signal(v: Vertex, p: PeriodicPattern, spec: BroadcastSpec) -> int:
 
 
 def signal_at_least(v: Vertex, p: PeriodicPattern, spec: BroadcastSpec, bound: int) -> bool:
-    """Early-exit check that total_signal(v, p, spec) >= bound."""
-    total = 0
-    cx, cy = v
-    t = spec.t
-    r = spec.r
-    for dy in range(-(t - 1), t):
-        rem = t - 1 - abs(dy)
-        for dx in range(-rem, rem + 1):
-            w = (cx + dx, cy + dy)
-            if contains(p, w):
-                total += min(t - abs(dx) - abs(dy), r)
-                if total >= bound:
-                    return True
-    return total >= bound
+    """True iff total_signal(v, p, spec) >= bound."""
+    return total_signal(v, p, spec) >= bound
 
 
 def uncapped_signal(v: Vertex, p: PeriodicPattern, t: int) -> int:
     """Sum of max(t - dist, 0) over all towers, without the per-tower cap."""
-    total = 0
-    cx, cy = v
-    for dy in range(-(t - 1), t):
-        rem = t - 1 - abs(dy)
-        for dx in range(-rem, rem + 1):
-            if contains(p, (cx + dx, cy + dy)):
-                total += t - abs(dx) - abs(dy)
-    return total
+    return total_signal(v, p, BroadcastSpec(t, t))  # no share exceeds t
+
+
+def scatter(canon: PeriodicPattern, kernel: list[KernelRow]) -> list[int]:
+    """Sum the kernel around every tower of canon into one value per residue.
+
+    canon must be canonical (basis {(a,0),(b,c)}). Entry j*a + i of the
+    result belongs to domain vertex (i, j), so index order is (y, x) order.
+    Lifts of the kernel that land on the same residue add up, which handles
+    kernels wider than the domain. Costs O(k * kernel size + |det|).
+    """
+    a = canon.basis_u[0]
+    b, c = canon.basis_v
+    field = [0] * (a * c)
+    for ox, oy in canon.offsets:
+        for dy, dx, weights in kernel:
+            y = oy + dy
+            j = y % c
+            base = j * a
+            i = (ox + dx - (y - j) // c * b) % a
+            lo = base + i
+            hi = lo + len(weights)
+            if hi <= base + a:
+                field[lo:hi] = map(add, field[lo:hi], weights)
+                continue
+            for w in weights:  # the row wraps around its residue row
+                field[base + i] += w
+                i = i + 1 if i + 1 < a else 0
+    return field
+
+
+def _tent(top: int, cap: int) -> list[int]:
+    """min(top - |dx|, cap) for dx = -(top-1) .. top-1."""
+    m = min(top, cap)
+    return [*range(1, m), *[m] * (2 * (top - m) + 1), *range(m - 1, 0, -1)]
+
+
+def signal_field(canon: PeriodicPattern, t: int, cap: int | None = None) -> list[int]:
+    """Total signal at every residue of canonical canon, indexed as by scatter().
+
+    Each tower contributes min(t - dist, cap); cap=None gives the uncapped
+    field. Equals total_signal (cap = r) or uncapped_signal (cap None) at the
+    domain vertex of each index.
+    """
+    cap = t if cap is None else cap
+    return scatter(canon, [(dy, abs(dy) + 1 - t, _tent(t - abs(dy), cap)) for dy in range(1 - t, t)])
 
 
 def excess(v: Vertex, p: PeriodicPattern, spec: BroadcastSpec) -> int:

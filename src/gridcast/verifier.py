@@ -1,7 +1,8 @@
 """Decide whether a periodic pattern is a (t,r) broadcast.
 
 By periodicity, checking every vertex of one fundamental domain decides
-validity over the whole infinite grid.
+validity over the whole infinite grid. The signal over the domain comes
+from one residue scatter (signal.signal_field).
 """
 
 from __future__ import annotations
@@ -15,10 +16,9 @@ from gridcast.core import (
     Vertex,
     canonicalize,
     density,
-    fundamental_domain,
     standard,
 )
-from gridcast.signal import signal_at_least, total_signal, uncapped_signal
+from gridcast.signal import signal_field
 
 
 @dataclass(frozen=True)
@@ -46,30 +46,25 @@ class VerificationReport:
 def verify(p: PeriodicPattern, spec: BroadcastSpec) -> VerificationReport:
     """Full scan of the fundamental domain; valid iff every vertex gets >= r."""
     canon = canonicalize(p)
-    domain = fundamental_domain(canon)
-    best_sig: int | None = None
-    witness: Vertex = domain[0]
-    for v in domain:
-        s = total_signal(v, canon, spec)
-        if best_sig is None or s < best_sig or (s == best_sig and (v[1], v[0]) < (witness[1], witness[0])):
-            best_sig = s
-            witness = v
-    assert best_sig is not None
+    field = signal_field(canon, spec.t, spec.r)
+    low = min(field)
+    # field is in (y, x) order, so its first minimum is the lex-least witness
+    index = field.index(low)
+    a = canon.basis_u[0]
     return VerificationReport(
-        valid=best_sig >= spec.r,
+        valid=low >= spec.r,
         t=spec.t,
         r=spec.r,
         density=density(canon),
-        min_total_signal=best_sig,
-        witness=witness,
-        domain_size=len(domain),
+        min_total_signal=low,
+        witness=(index % a, index // a),
+        domain_size=len(field),
     )
 
 
 def is_broadcast(p: PeriodicPattern, spec: BroadcastSpec) -> bool:
-    """Like verify().valid but bails out at the first underserved vertex."""
-    canon = canonicalize(p)
-    return all(signal_at_least(v, canon, spec, spec.r) for v in fundamental_domain(canon))
+    """Like verify().valid, without building a report."""
+    return min(signal_field(canonicalize(p), spec.t, spec.r)) >= spec.r
 
 
 def min_signal(p: PeriodicPattern, t: int) -> int:
@@ -80,22 +75,25 @@ def min_signal(p: PeriodicPattern, t: int) -> int:
     """
     if t < 1:
         raise ValueError(f"signal strength t must be >= 1, got {t}")
-    canon = canonicalize(p)
-    return min(uncapped_signal(v, canon, t) for v in fundamental_domain(canon))
+    return min(signal_field(canonicalize(p), t))
 
 
 def min_t(p: PeriodicPattern, r: int, t_max: int) -> int | None:
     """Smallest t <= t_max making p a (t,r) broadcast; None if there is none.
 
-    Signal is monotone in t, so binary search applies.
+    Signal is monotone in t, so doubling t brackets the answer and a binary
+    search finds it. A probe at t costs O(t^2) on top of the domain, so
+    probing upward from t = 1 keeps the cost near that of the answer.
     """
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
     canon = canonicalize(p)
-    if not is_broadcast(canon, BroadcastSpec(t_max, r)):
-        return None
-    lo, hi = 1, t_max  # hi always valid
-    while lo < hi:
+    lo, hi = 1, 1  # every t < lo fails
+    while not is_broadcast(canon, BroadcastSpec(hi, r)):
+        if hi == t_max:
+            return None
+        lo, hi = hi + 1, min(2 * hi, t_max)
+    while lo < hi:  # hi always valid
         mid = (lo + hi) // 2
         if is_broadcast(canon, BroadcastSpec(mid, r)):
             hi = mid

@@ -128,9 +128,10 @@ def test_cli_search_json(capsys):
 
 
 def test_cli_parse_error_exit_code(capsys):
-    code = main(["verify", "--pattern", "standard d=0 e=1", "--t", "2", "--r", "1"])
-    assert code == 2
-    assert "error" in capsys.readouterr().err
+    for text in ("standard d=0 e=1", "lattice u=(3,0) v=(0,1) offsets=(0,0);(3,0)"):
+        code = main(["verify", "--pattern", text, "--t", "2", "--r", "1"])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
 
 
 def test_cli_holes_json(capsys):

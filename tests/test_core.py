@@ -160,6 +160,16 @@ def test_same_pattern():
 
 
 def test_duplicate_offsets_rejected():
-    p = PeriodicPattern((3, 0), (0, 3), ((0, 0), (3, 0)))
     with pytest.raises(ValueError):
-        canonicalize(p)
+        PeriodicPattern((3, 0), (0, 3), ((0, 0), (3, 0)))
+
+
+def test_lattice_equivalent_offsets_cannot_inflate_density():
+    # (3,0) is a lattice vector, so both offsets name the one tower class of
+    # density 1/3; accepting them made density() report 2/3
+    with pytest.raises(ValueError):
+        density(PeriodicPattern((3, 0), (0, 1), ((0, 0), (3, 0))))
+    # equivalent only through a skew basis vector
+    with pytest.raises(ValueError):
+        PeriodicPattern((4, 0), (-2, 1), ((0, 0), (2, -1)))
+    assert density(PeriodicPattern((3, 0), (0, 1), ((0, 0), (2, 0)))) == Fraction(2, 3)

@@ -31,13 +31,17 @@ def punctured(period, removed):
 
 
 def brute_edge_depth(p, u, v, spec):
-    # independent oracle: rectangle scan around u, capped signal formula
+    # independent oracle: rectangle scan around u, capped signal formula;
+    # returns (depth, number of towers reaching both endpoints)
     depth = 0
+    count = 0
     for x in range(u[0] - spec.t - 1, u[0] + spec.t + 2):
         for y in range(u[1] - spec.t - 1, u[1] + spec.t + 2):
             if contains(p, (x, y)):
-                depth += min(sig_from_tower(u, (x, y), spec), sig_from_tower(v, (x, y), spec))
-    return depth
+                share = min(sig_from_tower(u, (x, y), spec), sig_from_tower(v, (x, y), spec))
+                depth += share
+                count += share > 0
+    return depth, count
 
 
 def test_rot_coordinate_round_trip():
@@ -172,14 +176,17 @@ def test_infinite_strip_hole():
 
 
 def test_depth_identity_randomized():
+    # t up to 6 exceeds most domain widths, so one tower's kernel wraps onto
+    # the same edge residue several times
     rng = random.Random(53)
     for _ in range(25):
         p = random_pattern(rng, max_entry=4)
-        spec = random_spec(rng, t_max=3, r_max=3)
+        spec = random_spec(rng, t_max=6, r_max=3)
         dm = depth_map(p, spec)
-        for key in list(dm.depth)[:6]:
+        assert len(dm.depth) == len(dm.cover_count) == 2 * abs(p.det)
+        for key in dm.depth:
             u, v = endpoints_of_rot(key)
-            assert dm.depth[key] == brute_edge_depth(dm.pattern, u, v, spec)
+            assert (dm.depth[key], dm.cover_count[key]) == brute_edge_depth(dm.pattern, u, v, spec)
 
 
 def test_hole_density_matches_depth_zero_count():

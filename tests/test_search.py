@@ -50,8 +50,10 @@ def test_valid_e_mirror_closure():
 
 
 def test_mirror_flag_matches_full_scan():
+    # valid_e_for tests only e <= d/2 and mirrors the rest; a plain scan of every e agrees
     for d, spec in [(13, BroadcastSpec(3, 1)), (9, BroadcastSpec(3, 2)), (14, BroadcastSpec(5, 5))]:
-        assert valid_e_for(d, spec, mirror=True) == valid_e_for(d, spec)
+        full = tuple(e for e in range(d) if is_broadcast(standard(d, e), spec))
+        assert valid_e_for(d, spec) == full
 
 
 def test_every_published_cell_verifies():

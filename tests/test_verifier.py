@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
 
-from conftest import random_pattern, random_spec
-from gridcast.core import BroadcastSpec, PeriodicPattern, fundamental_domain, standard
-from gridcast.signal import total_signal
+from conftest import random_pattern, random_spec, random_unimodular, transform_basis
+from gridcast.core import BroadcastSpec, PeriodicPattern, canonicalize, fundamental_domain, standard
+from gridcast.signal import total_signal, uncapped_signal
 from gridcast.verifier import is_broadcast, min_signal, min_t, upgrade_check, verify
 
 
@@ -141,3 +141,29 @@ def test_window_agreement():
             for y in range(-c, 2 * c)
         )
         assert report.min_total_signal == window_min
+
+
+def test_field_matches_gather_randomized():
+    # verify, is_broadcast and min_signal read one residue scatter; the oracle
+    # gathers over every domain vertex. Thin domains (a = 1 or c = 1) with
+    # t > a, c make one tower's kernel wrap onto a residue several times.
+    rng = random.Random(43)
+    thin = [
+        PeriodicPattern((1, 0), (0, 5), ((0, 0), (0, 2))),
+        PeriodicPattern((7, 0), (3, 1), ((0, 0), (4, 0))),
+        PeriodicPattern((1, 0), (0, 3)),
+    ]
+    cases = [(p, BroadcastSpec(rng.randint(6, 8), rng.randint(1, 5))) for p in thin]
+    for _ in range(30):
+        p = random_pattern(rng, max_entry=5, max_offsets=4)
+        cases.append((p, random_spec(rng, t_max=7, r_max=5)))
+    cases = [(transform_basis(p, random_unimodular(rng)), spec) for p, spec in cases] + cases
+    for p, spec in cases:
+        canon = canonicalize(p)
+        sigs = {v: total_signal(v, canon, spec) for v in fundamental_domain(canon)}
+        low = min(sigs.values())
+        witness = min((v for v, s in sigs.items() if s == low), key=lambda v: (v[1], v[0]))
+        report = verify(p, spec)
+        assert (report.min_total_signal, report.witness, report.domain_size) == (low, witness, len(sigs))
+        assert report.valid == is_broadcast(p, spec) == (low >= spec.r)
+        assert min_signal(p, spec.t) == min(uncapped_signal(v, canon, spec.t) for v in sigs)
