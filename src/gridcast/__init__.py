@@ -27,6 +27,7 @@ from gridcast.halfsquares import (
     depth_map,
     find_holes,
     hole_overlap_densities,
+    hole_summary,
 )
 from gridcast.parsing import PatternSyntaxError, parse_pattern, serialize_pattern
 from gridcast.render import RenderSpec, render
@@ -72,6 +73,7 @@ __all__ = [
     "depth_map",
     "find_holes",
     "hole_overlap_densities",
+    "hole_summary",
     "PatternSyntaxError",
     "parse_pattern",
     "serialize_pattern",

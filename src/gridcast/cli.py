@@ -14,7 +14,7 @@ import sys
 
 from gridcast.core import BroadcastSpec
 from gridcast.finite import FiniteGrid, domination_number
-from gridcast.halfsquares import _densities_in, _holes_in, depth_map
+from gridcast.halfsquares import hole_summary
 from gridcast.parsing import PatternSyntaxError, parse_pattern, serialize_pattern
 from gridcast.render import DEFAULT_SHOW, RenderSpec, render
 from gridcast.search import (
@@ -150,9 +150,7 @@ def _cmd_holes(args) -> int:
     spec = BroadcastSpec(args.t, args.r)
     pattern = parse_pattern(args.pattern)
     depth = args.depth if args.depth is not None else args.r
-    dm = depth_map(pattern, spec)
-    report = _holes_in(dm, depth)
-    hole_d, overlap_d = _densities_in(dm)
+    report, hole_d, overlap_d = hole_summary(pattern, spec, depth)
     if args.json:
         payload = report.to_dict()
         payload["hole_density"] = {"num": hole_d.numerator, "den": hole_d.denominator}

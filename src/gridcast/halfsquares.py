@@ -280,6 +280,14 @@ def hole_overlap_densities(p: PeriodicPattern, spec: BroadcastSpec) -> tuple[Fra
     return _densities_in(depth_map(p, spec))
 
 
+def hole_summary(
+    p: PeriodicPattern, spec: BroadcastSpec, hole_depth: int
+) -> tuple[HoleReport, Fraction, Fraction]:
+    """find_holes and hole_overlap_densities from one shared depth map."""
+    dm = depth_map(p, spec)
+    return (_holes_in(dm, hole_depth), *_densities_in(dm))
+
+
 def _densities_in(dm: DepthMap) -> tuple[Fraction, Fraction]:
     """hole_overlap_densities on an already built depth map."""
     total = len(dm.depth)

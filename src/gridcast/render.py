@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from gridcast.core import BroadcastSpec, PeriodicPattern, Vertex, canonicalize, contains, reduce_vertex
+from gridcast.core import BroadcastSpec, PeriodicPattern, canonicalize, contains
 from gridcast.halfsquares import depth_map, reduce_halfsquare, rot_of_edge
-from gridcast.signal import signal_field
+from gridcast.signal import total_signal
 
 DEFAULT_SHOW = frozenset({"towers", "signal"})
 VALID_SHOW = frozenset({"towers", "signal", "outlines", "halfsquares"})
@@ -37,23 +36,9 @@ def render(p: PeriodicPattern, spec: BroadcastSpec, rs: RenderSpec) -> str:
     return render_svg(canon, spec, rs)
 
 
-def _signal_reader(p: PeriodicPattern, spec: BroadcastSpec) -> Callable[[Vertex], int]:
-    """Total signal at any vertex, read from one field over the residues of p."""
-    canon = canonicalize(p)
-    field = signal_field(canon, spec.t, spec.r)
-    a = canon.basis_u[0]
-
-    def signal_at(v: Vertex) -> int:
-        i, j = reduce_vertex(canon, v)
-        return field[j * a + i]
-
-    return signal_at
-
-
 def render_ascii(p: PeriodicPattern, spec: BroadcastSpec, rs: RenderSpec) -> str:
     """'T' marks towers; digits give total signal, capped at 9 ('+' beyond)."""
     x0, y0, x1, y1 = rs.window
-    signal_at = _signal_reader(p, spec) if "signal" in rs.show else None
     lines = []
     for y in range(y1, y0 - 1, -1):  # top row first
         chars = []
@@ -61,8 +46,8 @@ def render_ascii(p: PeriodicPattern, spec: BroadcastSpec, rs: RenderSpec) -> str
             v = (x, y)
             if "towers" in rs.show and contains(p, v):
                 chars.append("T")
-            elif signal_at is not None:
-                s = signal_at(v)
+            elif "signal" in rs.show:
+                s = total_signal(v, p, spec)
                 chars.append(str(s) if s <= 9 else "+")
             else:
                 chars.append(".")
@@ -132,11 +117,10 @@ def render_svg(p: PeriodicPattern, spec: BroadcastSpec, rs: RenderSpec) -> str:
         )
 
     if "signal" in rs.show:
-        signal_at = _signal_reader(p, spec)
         texts = []
         for y in range(y0, y1 + 1):
             for x in range(x0, x1 + 1):
-                s = signal_at((x, y))
+                s = total_signal((x, y), p, spec)
                 ax, ay = _px(x, y, rs)
                 texts.append(f'<text x="{ax + 3}" y="{ay - 3}">{s}</text>')
         parts.append('<g font-size="8" fill="#333333">' + "".join(texts) + "</g>")

@@ -11,6 +11,7 @@ from gridcast.halfsquares import (
     endpoints_of_rot,
     find_holes,
     hole_overlap_densities,
+    hole_summary,
     incident_halfsquares,
     reduce_halfsquare,
     rot_of_edge,
@@ -199,8 +200,9 @@ def test_hole_density_matches_depth_zero_count():
         zero = sum(1 for d in dm.depth.values() if d == 0)
         assert hole_d == Fraction(zero, len(dm.depth))
         if spec.r >= 1:
-            holes = find_holes(p, spec, spec.r).holes
-            assert sum(h.size for h in holes) == zero
+            report = find_holes(p, spec, spec.r)
+            assert sum(h.size for h in report.holes) == zero
+            assert hole_summary(p, spec, spec.r) == (report, *hole_overlap_densities(p, spec))
 
 
 def test_wraparound_doubling_invariance():
